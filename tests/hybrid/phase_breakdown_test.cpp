@@ -111,6 +111,23 @@ TEST(PhaseBreakdown, ClassBExactMatchesShippedShape) {
                 phases(0.0, 0.022, 0.060, 0.400, 0.0, 0.410, 0.005, 0.0));
 }
 
+TEST(PhaseBreakdown, RemoteCallClassBExact) {
+  SystemConfig cfg = quiet_config();
+  cfg.class_b_mode = ClassBMode::RemoteCalls;
+  HybridSystem sys(cfg, std::make_unique<AlwaysLocalStrategy>());
+  sys.inject_transaction(
+      custom_txn(1, TxnClass::B, 3, {{5, LockMode::Exclusive}}));
+  sys.simulator().run();
+  ASSERT_EQ(sys.metrics().completions_class_b, 1u);
+  // CPU: home init 0.075 + call 0.030 + central serve 0.001 + home reply
+  // 0.002. I/O: home setup 0.035 + call at the central copy 0.025. Network:
+  // call up + reply down + commit request up + response leg, 0.2 each.
+  // Auth: down 0.2 + master-site check 0.010 + up 0.2. Commit: home 0.075 +
+  // central 0.005.
+  expect_phases(sys.metrics(),
+                phases(0.0, 0.108, 0.060, 0.800, 0.0, 0.410, 0.080, 0.0));
+}
+
 TEST(PhaseBreakdown, LockWaitAndReadyQueueUnderLocalContention) {
   // Two local transactions race for the same CPU and the same exclusive
   // lock; the second one's timeline shows both queueing effects.

@@ -168,5 +168,35 @@ TEST(GoldenMetrics, HybridWithFaultsAndSampler) {
   }
 }
 
+TEST(GoldenMetrics, HybridRemoteCallsYoungestVictimWithFaults) {
+  // Remote-call class B keeps its processing at home and its locks at
+  // central, so central deadlocks pick victims across both tiers; a small
+  // lockspace makes those deadlocks common enough for the youngest-victim
+  // policy to matter, and the outages crash runs mid remote call.
+  SystemConfig cfg = golden_config();
+  cfg.arrival_rate_per_site = 0.6;
+  cfg.lockspace = 1000;
+  cfg.class_b_mode = ClassBMode::RemoteCalls;
+  cfg.deadlock_victim = DeadlockVictim::Youngest;
+  cfg.ship_timeout = 2.0;
+  cfg.faults.windows.push_back(
+      {FaultKind::CentralOutage, -1, 60.0, 15.0, 1.0, 0.0});
+  cfg.faults.windows.push_back({FaultKind::SiteOutage, 2, 120.0, 10.0, 1.0, 0.0});
+  RunOptions opts;
+  opts.warmup_seconds = 40.0;
+  opts.measure_seconds = 200.0;
+  const RunResult r = run_simulation(
+      cfg, {StrategyKind::MinAverageNsys, 0.0, /*failure_aware=*/true}, opts);
+  const Golden want{1114u, 333u, 6387.4084395319587, 5.7337598200466413};
+  check_or_print("hybrid/rfc+youngest+faults", r.metrics.completions,
+                 r.metrics.aborts_total(), r.metrics.rt_all.sum(), want);
+  const GoldenCauses want_causes{{17u, 167u, 20u, 8u, 107u, 14u}, 192u};
+  check_or_print_causes("hybrid/rfc+youngest+faults", r.metrics, want_causes);
+  if (!repin_mode()) {
+    EXPECT_GT(r.metrics.aborts[static_cast<int>(AbortCause::Deadlock)], 0u);
+    EXPECT_GT(r.metrics.aborts[static_cast<int>(AbortCause::Crash)], 0u);
+  }
+}
+
 }  // namespace
 }  // namespace hls
