@@ -26,7 +26,8 @@ using PhaseStats = std::array<SampleStat, obs::kPhaseCount>;
 }
 
 /// Immutable record emitted for every transaction completion; the raw
-/// material for traces and custom analyses (see core/trace.hpp).
+/// material for custom analyses (HybridSystem::set_completion_hook). A CSV
+/// completion trace is obs::CsvSink with a Completion-only mask.
 struct TxnCompletionRecord {
   TxnId id = kInvalidTxn;
   TxnClass cls = TxnClass::A;

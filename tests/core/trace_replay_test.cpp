@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "core/trace.hpp"
+#include "obs/csv_sink.hpp"
 #include "obs/perfetto_sink.hpp"
 #include "obs/ring_sink.hpp"
 #include "routing/basic_strategies.hpp"
@@ -151,8 +151,8 @@ TEST(TraceReplay, FaultedReplayReproducesCompletionRecordsByteForByte) {
   auto run_once = [&](bool with_ring_observer) {
     HybridSystem sys(cfg, std::make_unique<AlwaysCentralStrategy>());
     std::ostringstream out;
-    TraceWriter writer(out);
-    writer.attach(sys);
+    obs::CsvSink completions(out, obs::kind_bit(obs::EventKind::Completion));
+    sys.add_trace_sink(&completions);
     obs::RingSink ring(4);  // deliberately tiny: wraps, reads, changes nothing
     if (with_ring_observer) {
       sys.add_trace_sink(&ring);
@@ -160,12 +160,13 @@ TEST(TraceReplay, FaultedReplayReproducesCompletionRecordsByteForByte) {
     replay_trace(sys, *trace);
     sys.simulator().run();
     EXPECT_EQ(sys.live_transactions(), 0);
+    completions.flush();
     return out.str();
   };
 
   const std::string first = run_once(false);
   const std::string second = run_once(true);
-  EXPECT_GT(first.size(), std::string(TraceWriter::header()).size());
+  EXPECT_GT(first.size(), std::string(obs::CsvSink::header()).size());
   EXPECT_EQ(first, second);
   // The run actually exercised the fault machinery.
   EXPECT_NE(first.find(",central,"), std::string::npos);
@@ -200,8 +201,8 @@ TEST(TraceReplay, FaultedReplayUnchangedByPerfettoSpanSink) {
   auto run_once = [&](bool with_span_sink) {
     HybridSystem sys(cfg, std::make_unique<AlwaysCentralStrategy>());
     std::ostringstream out;
-    TraceWriter writer(out);
-    writer.attach(sys);
+    obs::CsvSink completions(out, obs::kind_bit(obs::EventKind::Completion));
+    sys.add_trace_sink(&completions);
     std::ostringstream json;
     obs::PerfettoSink perfetto(json);
     if (with_span_sink) {
@@ -210,6 +211,7 @@ TEST(TraceReplay, FaultedReplayUnchangedByPerfettoSpanSink) {
     replay_trace(sys, *trace);
     sys.simulator().run();
     perfetto.close();
+    completions.flush();
     EXPECT_EQ(sys.live_transactions(), 0);
     return Outputs{out.str(), json.str()};
   };

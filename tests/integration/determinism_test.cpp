@@ -6,7 +6,7 @@
 #include <sstream>
 #include <tuple>
 
-#include "core/trace.hpp"
+#include "hybrid/hybrid_system.hpp"
 #include "model/params.hpp"
 #include "obs/csv_sink.hpp"
 #include "obs/ring_sink.hpp"
@@ -34,12 +34,13 @@ RunFingerprint fingerprint(std::uint64_t seed, StrategyKind kind) {
   HybridSystem sys(cfg,
                    make_strategy({kind, 0.0}, ModelParams::from_config(cfg), seed));
   std::ostringstream trace_out;
-  TraceWriter writer(trace_out);
-  writer.attach(sys);
+  obs::CsvSink trace(trace_out, obs::kind_bit(obs::EventKind::Completion));
+  sys.add_trace_sink(&trace);
   sys.enable_arrivals();
   sys.run_for(100.0);
   sys.stop_arrivals();
   sys.drain();
+  trace.flush();
   RunFingerprint fp;
   fp.events = sys.simulator().executed_events();
   fp.completions = sys.metrics().completions;
@@ -135,12 +136,13 @@ TEST(DeterminismTest, SamplerDoesNotPerturbMetrics) {
     HybridSystem sys(cfg, make_strategy({StrategyKind::MinAverageNsys, 0.0},
                                         ModelParams::from_config(cfg), 10));
     std::ostringstream trace_out;
-    TraceWriter writer(trace_out);
-    writer.attach(sys);
+    obs::CsvSink trace(trace_out, obs::kind_bit(obs::EventKind::Completion));
+    sys.add_trace_sink(&trace);
     sys.enable_arrivals();
     sys.run_for(60.0);
     sys.stop_arrivals();
     sys.drain();
+    trace.flush();
     return std::make_tuple(sys.metrics().completions,
                            sys.metrics().rt_all.sum(),
                            sys.metrics().aborts_total(), trace_out.str());
