@@ -188,7 +188,7 @@ TEST(LivelockBreaker, BelowThresholdIsPerfectlyInert) {
 }
 
 TEST(LivelockBreaker, CentralRestartPathHonoursTheBackoff) {
-  // Same equivalence through central_abort_rerun / schedule_central_restart:
+  // Same equivalence through abort_run / restart_run at the central track:
   // a class B deadlock at the central complex (requester victim).
   auto class_b = [](TxnId id, int site, LockId a, LockId b) {
     Transaction txn;
