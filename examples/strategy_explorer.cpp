@@ -118,14 +118,13 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  // Fault-window site ranges can only be checked after every --set has been
-  // applied (num_sites may come later than a fault= override).
-  std::string fault_error;
-  if (!cfg.faults.validate(cfg.num_sites, &fault_error)) {
-    std::fprintf(stderr, "--set fault schedule: %s\n", fault_error.c_str());
+  // Cross-field rules (fault-window sites, lockspace against num_sites) can
+  // only be checked after every --set has been applied.
+  std::string config_error;
+  if (!cfg.check(&config_error)) {
+    std::fprintf(stderr, "--set: %s\n", config_error.c_str());
     return 1;
   }
-  cfg.validate();
   if (dump_config) {
     describe_config(std::cout, cfg);
     std::printf("\n");

@@ -11,8 +11,14 @@
 // documented as a substitution in DESIGN.md.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "db/lock_types.hpp"
@@ -227,44 +233,264 @@ struct SystemConfig {
     return arrival_rate_per_site * num_sites;
   }
 
+  /// Checks every key's range (kConfigKeys) and the cross-field rules.
+  /// Returns false and fills `error` (when non-null) with the first
+  /// violation; builds no message on success.
+  [[nodiscard]] bool check(std::string* error = nullptr) const;
+
   /// Aborts if the configuration is internally inconsistent.
-  void validate() const {
-    HLS_ASSERT(num_sites >= 1, "need at least one local site");
-    HLS_ASSERT(local_mips > 0 && central_mips > 0, "MIPS must be positive");
-    HLS_ASSERT(comm_delay >= 0, "negative communications delay");
-    HLS_ASSERT(arrival_rate_per_site >= 0, "negative arrival rate");
-    HLS_ASSERT(prob_class_a >= 0 && prob_class_a <= 1, "prob_class_a out of range");
-    HLS_ASSERT(db_calls_per_txn >= 1, "transactions need at least one DB call");
-    HLS_ASSERT(lockspace >= static_cast<std::uint32_t>(num_sites),
-               "lock space smaller than site count");
-    HLS_ASSERT(prob_write_lock >= 0 && prob_write_lock <= 1,
-               "prob_write_lock out of range");
-    HLS_ASSERT(prob_call_io >= 0 && prob_call_io <= 1, "prob_call_io out of range");
-    HLS_ASSERT(local_mips_per_site.empty() ||
-                   local_mips_per_site.size() == static_cast<std::size_t>(num_sites),
-               "local_mips_per_site must be empty or have num_sites entries");
-    for (double mips : local_mips_per_site) {
-      HLS_ASSERT(mips > 0, "per-site MIPS must be positive");
-    }
-    HLS_ASSERT(ship_timeout >= 0, "negative ship timeout");
-    HLS_ASSERT(ship_backoff >= 1.0, "ship_backoff must be at least 1");
-    HLS_ASSERT(ship_max_retries >= 0, "negative ship retry budget");
-    HLS_ASSERT(ship_jitter >= 0, "negative ship jitter");
-    HLS_ASSERT(chaos_run_seconds >= 0, "negative chaos run window");
-    HLS_ASSERT(adapt_interval >= 0, "negative adapt interval");
-    HLS_ASSERT(adapt_threshold_step >= 0, "negative adapt threshold step");
-    HLS_ASSERT(adapt_refusal_frac >= 0 && adapt_refusal_frac <= 1,
-               "adapt_refusal_frac out of range");
-    HLS_ASSERT(adapt_hot_conflicts >= 1, "adapt_hot_conflicts must be >= 1");
-    HLS_ASSERT(obs_sample_interval >= 0, "negative sample interval");
-    HLS_ASSERT(obs_span_sink.empty() ||
-                   obs_span_sink.rfind("perfetto:", 0) == 0 ||
-                   obs_span_sink.rfind("csv:", 0) == 0,
-               "obs_span_sink must be empty, perfetto:PATH, or csv:PATH");
-    HLS_ASSERT(report_top_k >= 0, "negative report_top_k");
-    HLS_ASSERT(obs_heat_buckets >= 0, "negative obs_heat_buckets");
-    HLS_ASSERT(faults.validate(num_sites), "invalid fault schedule");
+  void validate() const;
+};
+
+// ---- key descriptor table ---------------------------------------------------
+//
+// One row per `key=value` config key: its name, the member it sets, and the
+// one allowed range. core/config_io parses and describes through this table
+// (in row order), validate() checks every row, and docs/CONFIG.md is tested
+// against it. Only `local_mips_per_site` (set in code) and the repeatable
+// `fault=` window list (core/config_io) have no row.
+
+/// Allowed values of a numeric key: lo <= v <= hi, either end optionally
+/// open; `text` states the range in error messages. Integer keys are further
+/// limited to whole numbers that fit the member's type.
+struct KeyRange {
+  double lo = 0.0;
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+  const char* text = "non-negative";
+
+  [[nodiscard]] constexpr bool contains(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
   }
 };
+
+inline constexpr KeyRange kNonNegative{};
+inline constexpr KeyRange kPositive{0.0, std::numeric_limits<double>::infinity(),
+                                    true, false, "positive"};
+inline constexpr KeyRange kAtLeastOne{1.0, std::numeric_limits<double>::infinity(),
+                                      false, false, "at least 1"};
+inline constexpr KeyRange kUnitInterval{0.0, 1.0, false, false, "in [0, 1]"};
+inline constexpr KeyRange kProbability{0.0, 1.0, false, true, "in [0, 1)"};
+
+/// The member a key sets. Its type is the key's kind: double, int or
+/// uint32 (integer), uint64 (the seed), bool (0/1 flag), string, or an enum
+/// spelled through the row's `spellings`. fault_* keys address the nested
+/// FaultScheduleConfig.
+using ConfigField =
+    std::variant<double SystemConfig::*, int SystemConfig::*,
+                 std::uint32_t SystemConfig::*, std::uint64_t SystemConfig::*,
+                 bool SystemConfig::*, std::string SystemConfig::*,
+                 DeadlockVictim SystemConfig::*, ClassBMode SystemConfig::*,
+                 double FaultScheduleConfig::*>;
+
+struct ConfigKey {
+  const char* name;
+  ConfigField field;
+  KeyRange range{};  ///< double and integer kinds only
+  std::span<const char* const> spellings{};  ///< enum kinds: text per value
+};
+
+inline constexpr const char* kDeadlockVictimNames[] = {"requester", "youngest"};
+inline constexpr const char* kClassBModeNames[] = {"ship", "remote-calls"};
+
+inline constexpr ConfigKey kConfigKeys[] = {
+    {"num_sites", &SystemConfig::num_sites, kAtLeastOne},
+    {"local_mips", &SystemConfig::local_mips, kPositive},
+    {"central_mips", &SystemConfig::central_mips, kPositive},
+    {"comm_delay", &SystemConfig::comm_delay, kNonNegative},
+    {"arrival_rate_per_site", &SystemConfig::arrival_rate_per_site, kNonNegative},
+    {"prob_class_a", &SystemConfig::prob_class_a, kUnitInterval},
+    {"db_calls_per_txn", &SystemConfig::db_calls_per_txn, kAtLeastOne},
+    {"instr_per_call", &SystemConfig::instr_per_call, kNonNegative},
+    {"instr_msg_init", &SystemConfig::instr_msg_init, kNonNegative},
+    {"instr_msg_commit", &SystemConfig::instr_msg_commit, kNonNegative},
+    {"setup_io_time", &SystemConfig::setup_io_time, kNonNegative},
+    {"call_io_time", &SystemConfig::call_io_time, kNonNegative},
+    {"prob_call_io", &SystemConfig::prob_call_io, kUnitInterval},
+    {"prob_write_lock", &SystemConfig::prob_write_lock, kUnitInterval},
+    {"lockspace", &SystemConfig::lockspace, kAtLeastOne},
+    {"instr_ship_forward", &SystemConfig::instr_ship_forward, kNonNegative},
+    {"instr_apply_update", &SystemConfig::instr_apply_update, kNonNegative},
+    {"instr_apply_update_item",
+     &SystemConfig::instr_apply_update_item, kNonNegative},
+    {"instr_recv_ack", &SystemConfig::instr_recv_ack, kNonNegative},
+    {"instr_auth_local", &SystemConfig::instr_auth_local, kNonNegative},
+    {"instr_commit_apply_local",
+     &SystemConfig::instr_commit_apply_local, kNonNegative},
+    {"instr_send_async", &SystemConfig::instr_send_async, kNonNegative},
+    {"instr_remote_call", &SystemConfig::instr_remote_call, kNonNegative},
+    {"async_batch_window", &SystemConfig::async_batch_window, kNonNegative},
+    {"deadlock_victim", &SystemConfig::deadlock_victim, {}, kDeadlockVictimNames},
+    {"class_b_mode", &SystemConfig::class_b_mode, {}, kClassBModeNames},
+    {"seed", &SystemConfig::seed},
+    {"abort_restart_delay", &SystemConfig::abort_restart_delay, kNonNegative},
+    {"max_reruns", &SystemConfig::max_reruns, kNonNegative},
+    {"livelock_backoff_after", &SystemConfig::livelock_backoff_after, kNonNegative},
+    {"livelock_backoff", &SystemConfig::livelock_backoff, kNonNegative},
+    {"ideal_state_info", &SystemConfig::ideal_state_info},
+    {"geometric_call_count", &SystemConfig::geometric_call_count},
+    {"ship_timeout", &SystemConfig::ship_timeout, kNonNegative},
+    {"ship_backoff", &SystemConfig::ship_backoff, kAtLeastOne},
+    {"ship_max_retries", &SystemConfig::ship_max_retries, kNonNegative},
+    {"ship_jitter", &SystemConfig::ship_jitter, kNonNegative},
+    {"obs_sample_interval", &SystemConfig::obs_sample_interval, kNonNegative},
+    {"obs_span_sink", &SystemConfig::obs_span_sink},
+    {"report_top_k", &SystemConfig::report_top_k, kNonNegative},
+    {"obs_resource_telemetry", &SystemConfig::obs_resource_telemetry},
+    {"obs_heat_buckets", &SystemConfig::obs_heat_buckets, kNonNegative},
+    {"obs_artifact", &SystemConfig::obs_artifact},
+    {"fault_random_link_rate",
+     &FaultScheduleConfig::random_link_outage_rate, kNonNegative},
+    {"fault_random_link_duration",
+     &FaultScheduleConfig::random_link_outage_mean, kNonNegative},
+    {"fault_random_horizon", &FaultScheduleConfig::random_horizon, kNonNegative},
+    {"fault_dup_prob", &FaultScheduleConfig::dup_prob, kProbability},
+    {"fault_dup_delay", &FaultScheduleConfig::dup_extra, kNonNegative},
+    {"fault_reorder_prob", &FaultScheduleConfig::reorder_prob, kProbability},
+    {"fault_reorder_window", &FaultScheduleConfig::reorder_window, kNonNegative},
+    {"fault_spike_prob", &FaultScheduleConfig::spike_prob, kProbability},
+    {"fault_spike_factor", &FaultScheduleConfig::spike_factor, kNonNegative},
+    {"chaos_strategy", &SystemConfig::chaos_strategy},
+    {"chaos_run_seconds", &SystemConfig::chaos_run_seconds, kNonNegative},
+    {"adapt_interval", &SystemConfig::adapt_interval, kNonNegative},
+    {"adapt_threshold_step", &SystemConfig::adapt_threshold_step, kNonNegative},
+    {"adapt_refusal_frac", &SystemConfig::adapt_refusal_frac, kUnitInterval},
+    {"adapt_hot_conflicts", &SystemConfig::adapt_hot_conflicts, kAtLeastOne},
+};
+
+namespace config_detail {
+
+/// Converts to any member type, so `T{AnyMember{}...}` compiles exactly when
+/// the aggregate T has at least that many members (brace-init counting).
+struct AnyMember {
+  template <class T>
+  operator T() const;  // declared only: used in unevaluated operands
+};
+
+template <class T, class... Members>
+constexpr std::size_t aggregate_member_count() {
+  if constexpr (requires { T{Members{}..., AnyMember{}}; }) {
+    return aggregate_member_count<T, Members..., AnyMember>();
+  } else {
+    return sizeof...(Members);
+  }
+}
+
+constexpr std::size_t kFaultRows = static_cast<std::size_t>(std::count_if(
+    std::begin(kConfigKeys), std::end(kConfigKeys), [](const ConfigKey& k) {
+      return std::holds_alternative<double FaultScheduleConfig::*>(k.field);
+    }));
+
+}  // namespace config_detail
+
+// A member added without a row fails here. The aggregates without a row:
+// SystemConfig::local_mips_per_site and ::faults, FaultScheduleConfig::windows.
+static_assert(config_detail::aggregate_member_count<SystemConfig>() ==
+                  std::size(kConfigKeys) - config_detail::kFaultRows + 2,
+              "every scalar SystemConfig member needs a kConfigKeys row");
+static_assert(config_detail::aggregate_member_count<FaultScheduleConfig>() ==
+                  config_detail::kFaultRows + 1,
+              "every scalar FaultScheduleConfig member needs a kConfigKeys row");
+
+/// The member `field` addresses in `cfg` (const when `cfg` is).
+template <class Config, class T>
+constexpr auto& config_member(Config& cfg, T SystemConfig::*field) {
+  return cfg.*field;
+}
+template <class Config, class T>
+constexpr auto& config_member(Config& cfg, T FaultScheduleConfig::*field) {
+  return cfg.faults.*field;
+}
+
+/// Integer kinds: whole numbers that fit the member type.
+template <class T>
+inline constexpr bool kIntegerKey =
+    std::is_same_v<T, int> || std::is_same_v<T, std::uint32_t>;
+
+/// True when `v` is a legal value of `key`'s member: within the row's range
+/// for numeric kinds, one of the spellings for enums.
+template <class T>
+[[nodiscard]] constexpr bool key_accepts(const ConfigKey& key, const T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    return static_cast<std::size_t>(v) < key.spellings.size();
+  } else if constexpr (std::is_same_v<T, double> || kIntegerKey<T>) {
+    return key.range.contains(static_cast<double>(v));
+  } else {
+    return true;  // seed, flags and strings take any value
+  }
+}
+
+/// "<key> must be ..." for a value `key_accepts` rejects (or, for integer
+/// keys, a value that is not a whole number of the member's type).
+[[nodiscard]] inline std::string key_range_error(const ConfigKey& key) {
+  std::string text = std::string(key.name) + " must be ";
+  if (!key.spellings.empty()) {
+    for (std::size_t i = 0; i < key.spellings.size(); ++i) {
+      text += (i == 0 ? "" : "|");
+      text += key.spellings[i];
+    }
+    return text;
+  }
+  const bool is_int = std::holds_alternative<int SystemConfig::*>(key.field);
+  const bool is_u32 =
+      std::holds_alternative<std::uint32_t SystemConfig::*>(key.field);
+  if (!is_int && !is_u32) {
+    return text + key.range.text;
+  }
+  return text + "an integer, " + key.range.text + " and at most " +
+         std::to_string(is_int ? std::numeric_limits<int>::max()
+                               : std::numeric_limits<std::uint32_t>::max());
+}
+
+/// The obs_span_sink grammar: "", "perfetto:PATH" or "csv:PATH".
+[[nodiscard]] inline bool span_sink_spec_ok(const std::string& spec) {
+  return spec.empty() || spec.rfind("perfetto:", 0) == 0 ||
+         spec.rfind("csv:", 0) == 0;
+}
+inline constexpr const char* kSpanSinkSpecError =
+    "obs_span_sink must be empty, perfetto:PATH, or csv:PATH";
+
+inline bool SystemConfig::check(std::string* error) const {
+  const auto fail = [error](std::string message) {
+    if (error != nullptr) {
+      *error = std::move(message);
+    }
+    return false;
+  };
+  for (const ConfigKey& key : kConfigKeys) {
+    const bool ok = std::visit(
+        [&](auto field) { return key_accepts(key, config_member(*this, field)); },
+        key.field);
+    if (!ok) {
+      return fail(key_range_error(key));
+    }
+  }
+  if (lockspace < static_cast<std::uint32_t>(num_sites)) {
+    return fail("lock space smaller than site count");
+  }
+  if (!local_mips_per_site.empty() &&
+      local_mips_per_site.size() != static_cast<std::size_t>(num_sites)) {
+    return fail("local_mips_per_site must be empty or have num_sites entries");
+  }
+  for (double mips : local_mips_per_site) {
+    if (!(mips > 0.0)) {
+      return fail("per-site MIPS must be positive");
+    }
+  }
+  if (!span_sink_spec_ok(obs_span_sink)) {
+    return fail(kSpanSinkSpecError);
+  }
+  std::string fault_error;
+  if (!faults.validate(num_sites, &fault_error)) {
+    return fail("fault schedule: " + fault_error);
+  }
+  return true;
+}
+
+inline void SystemConfig::validate() const {
+  std::string error;
+  HLS_ASSERT(check(&error), error.c_str());
+}
 
 }  // namespace hls

@@ -108,26 +108,11 @@ bool FaultScheduleConfig::validate(int num_sites, std::string* error) const {
       return false;
     }
   }
-  if (random_link_outage_rate < 0.0 || random_link_outage_mean < 0.0 ||
-      random_horizon < 0.0) {
-    return fail(error, "random link-outage parameters must be non-negative");
-  }
   if (random_link_outage_rate > 0.0 && random_horizon > 0.0 &&
       random_link_outage_mean <= 0.0) {
     return fail(error,
                 "random link outages need a positive mean duration "
                 "(fault_random_link_duration)");
-  }
-  if (dup_prob < 0.0 || dup_prob >= 1.0 || reorder_prob < 0.0 ||
-      reorder_prob >= 1.0 || spike_prob < 0.0 || spike_prob >= 1.0) {
-    return fail(error,
-                "steady message-fault probabilities (fault_dup_prob, "
-                "fault_reorder_prob, fault_spike_prob) must be in [0, 1)");
-  }
-  if (dup_extra < 0.0 || reorder_window < 0.0 || spike_factor < 0.0) {
-    return fail(error,
-                "message-fault delays (fault_dup_delay, fault_reorder_window, "
-                "fault_spike_factor) must be non-negative");
   }
   return true;
 }

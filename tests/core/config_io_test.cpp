@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <set>
 #include <sstream>
 
 namespace hls {
@@ -41,6 +45,56 @@ TEST(ConfigIo, RejectsBadInput) {
   EXPECT_FALSE(apply_config_override(cfg, "deadlock_victim=alphabetical", &error));
   // The config is untouched by failed overrides.
   EXPECT_DOUBLE_EQ(cfg.comm_delay, 0.2);
+}
+
+TEST(ConfigIo, RejectsNonIntegralAndOutOfRangeValues) {
+  // Each of these used to be truncated, cast with undefined behaviour, or
+  // accepted here and then aborted in SystemConfig::validate().
+  SystemConfig cfg;
+  std::string error;
+  EXPECT_FALSE(apply_config_override(cfg, "num_sites=2.7", &error));
+  EXPECT_NE(error.find("num_sites must be an integer"), std::string::npos)
+      << error;
+  EXPECT_FALSE(apply_config_override(cfg, "lockspace=-1", &error));
+  EXPECT_NE(error.find("lockspace must be"), std::string::npos) << error;
+  EXPECT_FALSE(apply_config_override(cfg, "lockspace=5e9", &error));
+  EXPECT_FALSE(apply_config_override(cfg, "prob_class_a=1.5", &error));
+  EXPECT_NE(error.find("prob_class_a must be in [0, 1]"), std::string::npos)
+      << error;
+  EXPECT_FALSE(apply_config_override(cfg, "num_sites=0", &error));
+  EXPECT_NE(error.find("at least 1"), std::string::npos) << error;
+  EXPECT_FALSE(apply_config_override(cfg, "local_mips=0", &error));
+  EXPECT_NE(error.find("positive"), std::string::npos) << error;
+  EXPECT_FALSE(apply_config_override(cfg, "comm_delay=nan", &error));
+  EXPECT_FALSE(apply_config_override(cfg, "class_b_mode=remote_calls", &error));
+  EXPECT_NE(error.find("ship|remote-calls"), std::string::npos) << error;
+  // Failed overrides leave the config untouched.
+  EXPECT_EQ(cfg.num_sites, 10);
+  EXPECT_EQ(cfg.lockspace, 32768u);
+  EXPECT_DOUBLE_EQ(cfg.prob_class_a, 0.75);
+
+  // Whole numbers in exponent form stay accepted.
+  EXPECT_TRUE(apply_config_override(cfg, "lockspace=1e3", &error)) << error;
+  EXPECT_EQ(cfg.lockspace, 1000u);
+
+  // A cross-field violation is reported by parse_config_file, not aborted on.
+  std::istringstream in("num_sites=20\nlockspace=8\n");
+  EXPECT_FALSE(parse_config_file(in, SystemConfig{}, &error).has_value());
+  EXPECT_NE(error.find("lock space smaller than site count"), std::string::npos)
+      << error;
+}
+
+TEST(ConfigKeys, NoTwoRowsAddressTheSameMember) {
+  // With the member-count static_assert in hybrid/config.hpp this makes the
+  // table a bijection onto the scalar members.
+  const std::size_t n = std::size(kConfigKeys);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      EXPECT_FALSE(kConfigKeys[i].field == kConfigKeys[j].field)
+          << kConfigKeys[i].name << " and " << kConfigKeys[j].name;
+      EXPECT_STRNE(kConfigKeys[i].name, kConfigKeys[j].name);
+    }
+  }
 }
 
 TEST(ConfigIo, ParsesFileWithCommentsAndWhitespace) {
@@ -332,6 +386,63 @@ TEST(ConfigIo, LivelockBreakerKeysRoundTripAndValidate) {
   EXPECT_FALSE(apply_config_override(cfg, "livelock_backoff=-0.5", &error));
   EXPECT_EQ(cfg.livelock_backoff_after, 7);
   EXPECT_DOUBLE_EQ(cfg.livelock_backoff, 0.25);
+}
+
+// ---- docs/CONFIG.md against the descriptor table ---------------------------
+
+/// The `| `key` | default | meaning |` rows of docs/CONFIG.md, key -> default
+/// cell (trimmed).
+std::map<std::string, std::string> documented_defaults() {
+  std::ifstream in(std::string(HLS_REPO_ROOT) + "/docs/CONFIG.md");
+  EXPECT_TRUE(in.good()) << "cannot read docs/CONFIG.md";
+  std::map<std::string, std::string> rows;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("| `", 0) != 0) {
+      continue;
+    }
+    const auto key_end = line.find('`', 3);
+    const auto cell_start = line.find('|', key_end) + 1;
+    const auto cell_end = line.find('|', cell_start);
+    std::string cell = line.substr(cell_start, cell_end - cell_start);
+    cell.erase(0, cell.find_first_not_of(' '));
+    cell.erase(cell.find_last_not_of(' ') + 1);
+    const std::string key = line.substr(3, key_end - 3);
+    EXPECT_TRUE(rows.emplace(key, cell).second) << key << " documented twice";
+  }
+  return rows;
+}
+
+TEST(ConfigDocs, DocumentedKeysAreTheTableKeys) {
+  std::set<std::string> documented;
+  for (const auto& [key, cell] : documented_defaults()) {
+    documented.insert(key);
+  }
+  std::set<std::string> expected = {"fault"};  // the repeatable window list
+  for (const ConfigKey& key : kConfigKeys) {
+    expected.insert(key.name);
+  }
+  EXPECT_EQ(documented, expected);
+}
+
+TEST(ConfigDocs, DocumentedDefaultsAreTheDescribedDefaults) {
+  std::ostringstream out;
+  describe_config(out, SystemConfig{});
+  std::istringstream in(out.str());
+  std::map<std::string, std::string> described;
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto eq = line.find('=');
+    if (line[0] != '#' && eq != std::string::npos) {
+      described[line.substr(0, eq)] = line.substr(eq + 1);
+    }
+  }
+  const std::map<std::string, std::string> documented = documented_defaults();
+  for (const ConfigKey& key : kConfigKeys) {
+    const auto it = documented.find(key.name);
+    ASSERT_NE(it, documented.end()) << key.name;
+    EXPECT_EQ(it->second, described.at(key.name)) << key.name;
+  }
 }
 
 }  // namespace

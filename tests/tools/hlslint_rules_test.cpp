@@ -60,10 +60,6 @@ TEST(HlslintRules, BadTreeFindsEveryRule) {
       {"src/hybrid/composed_metric_name.cpp", 9, "registry-name"},
       {"src/hybrid/composed_metric_name.cpp", 10, "registry-name"},
       // v2 semantic-model rules and the dataflow-backed rule upgrades.
-      {"src/hybrid/drift_config.hpp", 6, "config-roundtrip"},
-      {"src/core/drift_config_io.cpp", 10, "config-roundtrip"},
-      {"src/core/drift_config_io.cpp", 12, "config-roundtrip"},
-      {"src/core/drift_config_io.cpp", 21, "config-roundtrip"},
       {"src/hybrid/drift_metrics.hpp", 8, "counter-double-entry"},
       {"src/sim/dup_fork.cpp", 8, "fork-label-unique"},
       {"src/sim/dup_fork.cpp", 9, "fork-label-unique"},
@@ -141,9 +137,9 @@ TEST(HlslintRules, LexerBlanksCommentsAndStrings) {
 TEST(HlslintRules, RuleCatalogMatchesKnownRules) {
   EXPECT_TRUE(hlslint::known_rule("callback-epoch"));
   EXPECT_FALSE(hlslint::known_rule("no-such-rule"));
-  EXPECT_TRUE(hlslint::known_rule("config-roundtrip"));
+  EXPECT_TRUE(hlslint::known_rule("counter-double-entry"));
   EXPECT_TRUE(hlslint::known_rule("bench-csv-schema"));
-  EXPECT_EQ(hlslint::rule_catalog().size(), 17u);
+  EXPECT_EQ(hlslint::rule_catalog().size(), 16u);
 }
 
 }  // namespace

@@ -39,9 +39,6 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
       {"registry-name",
        "obs::Registry registrations pass string-literal stable names; only "
        "the registry composes prefixes and bucket suffixes"},
-      {"config-roundtrip",
-       "every scalar SystemConfig field has a parse case, a describe_config "
-       "serialize line, and a Markdown mention (config_io round trip)"},
       {"counter-double-entry",
        "per-site counters with a same-named global twin in Metrics are "
        "recounted (sum==global) in check_invariants"},
@@ -127,7 +124,7 @@ std::vector<Finding> raw_findings(const std::vector<SourceFile>& files,
     check_text_rules(f, findings);
   }
   check_layering(files, findings);
-  RepoModel model = build_model(files, opts.root);
+  RepoModel model = build_model(files);
   check_model_rules(model, files, findings);
 
   auto enabled = [&](const std::string& rule) {

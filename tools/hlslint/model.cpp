@@ -1,13 +1,9 @@
 // Repo-model assembly (see model.hpp). One pass over the scanned files:
-// every extraction is keyed by artifact names (SystemConfig,
-// apply_config_override, describe_config, SiteMetrics/Metrics,
+// every extraction is keyed by artifact names (SiteMetrics/Metrics,
 // check_invariants, fork, the Registry methods) rather than fixed paths,
 // so fixture trees and scratch trees model the same contracts as the live
 // repo with a handful of small files.
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,8 +11,6 @@
 #include "hlslint/model.hpp"
 
 namespace hlslint {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -27,44 +21,6 @@ bool ident_char(char c) {
 
 bool starts_with(const std::string& s, const std::string& prefix) {
   return s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool is_identifier(const std::string& s) {
-  if (s.empty() || (s[0] >= '0' && s[0] <= '9')) {
-    return false;
-  }
-  for (char c : s) {
-    if (!ident_char(c)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The identifier chain directly left of `pos` after skipping whitespace.
-std::string ident_before(const std::string& s, std::size_t pos) {
-  std::size_t i = pos;
-  while (i > 0 && (s[i - 1] == ' ' || s[i - 1] == '\n')) {
-    --i;
-  }
-  std::size_t stop = i;
-  while (i > 0 && ident_char(s[i - 1])) {
-    --i;
-  }
-  return s.substr(i, stop - i);
-}
-
-/// True when only '==' (with optional whitespace) separates `pos` from the
-/// identifier `key` on its left: the `key == "x"` parse-case shape.
-bool preceded_by_key_eq(const std::string& s, std::size_t pos) {
-  std::size_t i = pos;
-  while (i > 0 && (s[i - 1] == ' ' || s[i - 1] == '\n')) {
-    --i;
-  }
-  if (i < 2 || s[i - 1] != '=' || s[i - 2] != '=') {
-    return false;
-  }
-  return ident_before(s, i - 2) == "key";
 }
 
 /// Joins literal `i` with directly-adjacent following literals (only
@@ -96,56 +52,6 @@ std::string join_adjacent(const std::vector<ast::StringLit>& lits,
     value += lits[i].value;
   }
   return value;
-}
-
-void extract_config(const SourceFile& f, RepoModel& model) {
-  for (const ast::Record& r : ast::records(f)) {
-    if (r.name != "SystemConfig") {
-      continue;
-    }
-    model.has_config_struct = true;
-    for (const ast::Field& fld : ast::record_fields(f, r)) {
-      model.config_fields.push_back(
-          ConfigFieldModel{fld.name, fld.type, ModelSite{f.path, fld.line}});
-    }
-  }
-}
-
-void extract_config_io(const SourceFile& f, RepoModel& model) {
-  std::vector<ast::Function> fns = ast::functions(f);
-  std::vector<ast::StringLit> lits = ast::string_literals(f);
-  for (const ast::Function& fn : fns) {
-    bool is_parse = fn.name == "apply_config_override" ||
-                    (fn.name.size() > 21 &&
-                     fn.name.compare(fn.name.size() - 21, 21,
-                                     "apply_config_override") == 0);
-    bool is_serialize = fn.name == "describe_config" ||
-                        (fn.name.size() > 15 &&
-                         fn.name.compare(fn.name.size() - 15, 15,
-                                         "describe_config") == 0);
-    if (!is_parse && !is_serialize) {
-      continue;
-    }
-    model.has_config_io = true;
-    for (const ast::StringLit& lit : lits) {
-      if (lit.offset <= fn.body_open || lit.offset >= fn.body_close) {
-        continue;
-      }
-      if (is_parse) {
-        if (preceded_by_key_eq(f.code_text, lit.offset) &&
-            is_identifier(lit.value)) {
-          model.parse_keys.emplace(lit.value, ModelSite{f.path, lit.line});
-        }
-      } else {
-        // Serialize keys are `"<key>="` stream literals.
-        if (lit.value.size() >= 2 && lit.value.back() == '=' &&
-            is_identifier(lit.value.substr(0, lit.value.size() - 1))) {
-          model.serialize_keys.emplace(lit.value.substr(0, lit.value.size() - 1),
-                                       ModelSite{f.path, lit.line});
-        }
-      }
-    }
-  }
 }
 
 bool counter_type(const ast::Field& fld) {
@@ -408,55 +314,13 @@ void extract_table_builds(const SourceFile& f, RepoModel& model) {
   }
 }
 
-std::string load_docs(const std::string& root) {
-  if (root.empty()) {
-    return "";
-  }
-  std::vector<std::string> paths;
-  for (const fs::path& dir : {fs::path(root), fs::path(root) / "docs"}) {
-    std::error_code ec;
-    if (!fs::is_directory(dir, ec)) {
-      continue;
-    }
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      if (entry.is_regular_file() && entry.path().extension() == ".md") {
-        paths.push_back(entry.path().string());
-      }
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  std::ostringstream all;
-  for (const std::string& p : paths) {
-    std::ifstream in(p, std::ios::binary);
-    all << in.rdbuf() << '\n';
-  }
-  return all.str();
-}
-
 }  // namespace
 
-bool RepoModel::documented(const std::string& word) const {
-  std::size_t pos = 0;
-  while ((pos = docs_text.find(word, pos)) != std::string::npos) {
-    bool left = pos == 0 || !ident_char(docs_text[pos - 1]);
-    std::size_t after = pos + word.size();
-    bool right = after >= docs_text.size() || !ident_char(docs_text[after]);
-    if (left && right) {
-      return true;
-    }
-    pos = after;
-  }
-  return false;
-}
-
-RepoModel build_model(const std::vector<SourceFile>& files,
-                      const std::string& root) {
+RepoModel build_model(const std::vector<SourceFile>& files) {
   RepoModel model;
   bool saw_site = false;
   bool saw_global = false;
   for (const SourceFile& f : files) {
-    extract_config(f, model);
-    extract_config_io(f, model);
     extract_counters(f, model, saw_site, saw_global);
     extract_invariants(f, model);
     extract_forks(f, model);
@@ -466,7 +330,6 @@ RepoModel build_model(const std::vector<SourceFile>& files,
     model.include_edges += static_cast<int>(ast::includes(f).size());
   }
   model.has_metrics_pair = saw_site && saw_global;
-  model.docs_text = load_docs(root);
   return model;
 }
 

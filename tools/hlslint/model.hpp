@@ -1,13 +1,10 @@
 // Semantic repo model: the cross-artifact facts the contract rules check,
-// assembled in one pass over the scanned files (plus the Markdown docs,
-// which are read here but never linted).
+// assembled in one pass over the scanned files.
 //
 // Each section is extracted structurally via the AST-lite layer
 // (tools/hlslint/ast.hpp) and records where every fact came from, so a
 // rule can anchor its finding on the declaration that needs fixing:
 //
-//   * SystemConfig fields, config_io parse keys (`key == "x"`) and
-//     serialize keys (`out << "x="`), plus the concatenated docs text;
 //   * SiteMetrics / Metrics counter fields and the bodies of every
 //     check_invariants() overload (the double-entry ledger);
 //   * Rng::fork(...) call sites with their label literals;
@@ -21,7 +18,6 @@
 // corresponding `has_*` gate before firing.
 #pragma once
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -34,12 +30,6 @@ namespace hlslint {
 struct ModelSite {
   std::string file;
   int line = 0;
-};
-
-struct ConfigFieldModel {
-  std::string name;
-  std::string type;
-  ModelSite site;
 };
 
 struct CounterFieldModel {
@@ -79,14 +69,6 @@ struct TableBuildModel {
 };
 
 struct RepoModel {
-  // ---- config round trip ----
-  bool has_config_struct = false;
-  bool has_config_io = false;
-  std::vector<ConfigFieldModel> config_fields;         // SystemConfig members
-  std::map<std::string, ModelSite> parse_keys;         // apply_config_override
-  std::map<std::string, ModelSite> serialize_keys;     // describe_config
-  std::string docs_text;  // all *.md under <root> and <root>/docs
-
   // ---- counter double entry ----
   bool has_metrics_pair = false;    // both SiteMetrics and Metrics found
   bool has_invariants = false;      // at least one check_invariants body
@@ -106,20 +88,13 @@ struct RepoModel {
 
   // ---- include graph (parser smoke) ----
   int include_edges = 0;
-
-  /// True when `word` occurs in the docs text delimited by non-identifier
-  /// characters (so `seed` does not match `reseed`).
-  [[nodiscard]] bool documented(const std::string& word) const;
 };
 
-/// Assembles the model from the scanned files. `root` locates the Markdown
-/// docs (<root>/*.md and <root>/docs/*.md); pass "" to skip docs loading
-/// (synthetic in-memory trees).
-RepoModel build_model(const std::vector<SourceFile>& files,
-                      const std::string& root);
+/// Assembles the model from the scanned files.
+RepoModel build_model(const std::vector<SourceFile>& files);
 
-/// Cross-artifact contract rules over the model (config-roundtrip,
-/// counter-double-entry, fork-label-unique, registry-unit,
+/// Cross-artifact contract rules over the model (counter-double-entry,
+/// fork-label-unique, registry-unit,
 /// bench-csv-schema, bench-time-scale). `files` supplies the per-file
 /// context the bench rules need.
 void check_model_rules(const RepoModel& model,

@@ -23,11 +23,6 @@ bool starts_with(const std::string& s, const std::string& prefix) {
   return s.compare(0, prefix.size(), prefix) == 0;
 }
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 bool contains_word(const std::string& text, const std::string& word) {
   std::size_t pos = 0;
   while ((pos = text.find(word, pos)) != std::string::npos) {
@@ -45,58 +40,6 @@ bool contains_word(const std::string& text, const std::string& word) {
 void add(std::vector<Finding>& out, const ModelSite& site,
          const std::string& rule, std::string message) {
   out.push_back(Finding{site.file, site.line, rule, std::move(message)});
-}
-
-// ---- config-roundtrip ----------------------------------------------------
-//
-// Every SystemConfig field must be parsed by apply_config_override AND
-// serialized by describe_config AND mentioned in the Markdown docs; keys
-// that exist on only one side of the parse/serialize pair are drift.
-void rule_config_roundtrip(const RepoModel& m, std::vector<Finding>& out) {
-  if (!m.has_config_struct || !m.has_config_io) {
-    return;
-  }
-  for (const ConfigFieldModel& f : m.config_fields) {
-    // Aggregate members (vectors, nested *Config structs) are configured
-    // through their own scalar keys, not one key per field.
-    if (f.type.find("vector") != std::string::npos ||
-        ends_with(f.type, "Config")) {
-      continue;
-    }
-    if (!m.parse_keys.count(f.name)) {
-      add(out, f.site, "config-roundtrip",
-          "config field '" + f.name +
-              "' has no `key == \"" + f.name +
-              "\"` parse case in apply_config_override; every scalar "
-              "SystemConfig field must round-trip through config_io");
-    }
-  }
-  for (const auto& [key, site] : m.parse_keys) {
-    if (!m.serialize_keys.count(key)) {
-      add(out, site, "config-roundtrip",
-          "config key '" + key +
-              "' is parsed but never serialized by describe_config; a "
-              "described run would silently drop it on replay");
-    }
-  }
-  for (const auto& [key, site] : m.serialize_keys) {
-    if (!m.parse_keys.count(key)) {
-      add(out, site, "config-roundtrip",
-          "config key '" + key +
-              "' is serialized by describe_config but has no parse case in "
-              "apply_config_override; a described run cannot be replayed");
-    }
-  }
-  if (!m.docs_text.empty()) {
-    for (const auto& [key, site] : m.parse_keys) {
-      if (!m.documented(key)) {
-        add(out, site, "config-roundtrip",
-            "config key '" + key +
-                "' is not documented in any Markdown file; add it to the "
-                "docs/CONFIG.md key catalogue");
-      }
-    }
-  }
 }
 
 // ---- counter-double-entry ------------------------------------------------
@@ -299,7 +242,6 @@ void rule_bench_time_scale(const std::vector<SourceFile>& files,
 void check_model_rules(const RepoModel& model,
                        const std::vector<SourceFile>& files,
                        std::vector<Finding>& out) {
-  rule_config_roundtrip(model, out);
   rule_counter_double_entry(model, out);
   rule_fork_label_unique(model, out);
   rule_registry_unit(model, out);
