@@ -9,6 +9,8 @@
 #include <type_traits>
 #include <variant>
 
+#include "util/table.hpp"
+
 namespace hls {
 
 namespace {
@@ -104,6 +106,8 @@ void write_value(std::ostream& out, const ConfigKey& key, const T& v) {
     out << key.spellings[static_cast<std::size_t>(v)];
   } else if constexpr (std::is_same_v<T, bool>) {
     out << (v ? 1 : 0);
+  } else if constexpr (std::is_same_v<T, double>) {
+    out << format_round_trip(v);
   } else {
     out << v;
   }

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <tuple>
 
+#include "util/table.hpp"
+
 namespace hls {
 
 namespace {
@@ -283,13 +285,16 @@ std::string format_fault_window(const FaultWindow& w) {
     }
     out << ':';
   }
-  out << w.start << ':' << w.duration;
+  out << format_round_trip(w.start) << ':' << format_round_trip(w.duration);
   if (w.kind == FaultKind::LinkDegrade) {
-    out << ':' << w.delay_factor << ':' << w.loss_prob;
+    out << ':' << format_round_trip(w.delay_factor) << ':'
+        << format_round_trip(w.loss_prob);
   }
   if (w.kind == FaultKind::MsgFault) {
-    out << ':' << w.dup_prob << ':' << w.reorder_prob << ':' << w.spike_prob
-        << ':' << w.spike_factor;
+    out << ':' << format_round_trip(w.dup_prob) << ':'
+        << format_round_trip(w.reorder_prob) << ':'
+        << format_round_trip(w.spike_prob) << ':'
+        << format_round_trip(w.spike_factor);
   }
   return out.str();
 }

@@ -43,4 +43,8 @@ class Table {
 /// Formats a double with fixed precision (helper shared with log output).
 std::string format_double(double value, int precision);
 
+/// Shortest decimal text that strtod reads back as exactly `value`
+/// (std::to_chars), for printed configs that must replay bit-exactly.
+std::string format_round_trip(double value);
+
 }  // namespace hls

@@ -167,6 +167,9 @@ TEST(Chaos, GeneratedEpisodeReproRoundTrips) {
   EXPECT_EQ(describe_chaos_episode(*parsed), describe_chaos_episode(e));
   const ChaosVerdict verdict = run_chaos_episode(*parsed);
   EXPECT_TRUE(verdict.passed());
+  // The repro replays the same run, not just a config that prints alike:
+  // every double must survive the text round trip bit-exactly.
+  EXPECT_EQ(verdict.fingerprint, run_chaos_episode(e).fingerprint);
 }
 
 TEST(Chaos, ParseReproRejectsMissingEnvelope) {

@@ -7,6 +7,9 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <variant>
 
 namespace hls {
 namespace {
@@ -121,25 +124,78 @@ TEST(ConfigIo, FileErrorsCarryLineNumbers) {
   EXPECT_NE(error.find("line 2"), std::string::npos);
 }
 
-TEST(ConfigIo, DescribeRoundTrips) {
+/// A value for `key` other than its default, in range, distinct per row
+/// (`row` is the row index) and, for doubles, needing all 17 digits.
+template <class T>
+T non_default(const ConfigKey& key, std::size_t row, const T& current) {
+  if constexpr (std::is_same_v<T, double>) {
+    return key.range.lo + 0.3183098861837907 / static_cast<double>(row + 1);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return !current;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return "perfetto:out/" + std::string(key.name) + ".json";
+  } else if constexpr (std::is_enum_v<T>) {
+    return static_cast<T>((static_cast<std::size_t>(current) + 1) %
+                          key.spellings.size());
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    return 5057277406479545829ULL;  // > 2^62: not representable as a double
+  } else {
+    return static_cast<T>(current + 1 + static_cast<T>(row));
+  }
+}
+
+TEST(ConfigIo, EveryKeyRoundTripsThroughDescribeExactly) {
+  const SystemConfig defaults;
   SystemConfig cfg;
-  cfg.comm_delay = 0.5;
-  cfg.num_sites = 7;
-  cfg.class_b_mode = ClassBMode::RemoteCalls;
-  cfg.deadlock_victim = DeadlockVictim::Youngest;
-  cfg.async_batch_window = 0.25;
-  cfg.seed = 777;
+  for (std::size_t row = 0; row < std::size(kConfigKeys); ++row) {
+    const ConfigKey& key = kConfigKeys[row];
+    std::visit(
+        [&](auto field) {
+          auto& member = config_member(cfg, field);
+          member = non_default(key, row, member);
+        },
+        key.field);
+  }
+  cfg.faults.windows = {
+      {FaultKind::SiteOutage, 2, 10.0 / 3.0, 1.0 / 7.0},
+      {FaultKind::LinkDegrade, -1, 0.1, 50.0 / 3.0, 2.0 / 3.0, 0.1 / 3.0},
+      {FaultKind::MsgFault, 3, 1.0 / 9.0, 2.0 / 9.0, 1.0, 0.0, 0.5 / 3.0,
+       0.4 / 3.0, 0.3 / 7.0, 6.0 / 7.0},
+  };
+  std::string error;
+  ASSERT_TRUE(cfg.check(&error)) << error;
+
   std::ostringstream out;
   describe_config(out, cfg);
   std::istringstream in(out.str());
-  const auto parsed = parse_config_file(in, SystemConfig{});
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_DOUBLE_EQ(parsed->comm_delay, 0.5);
-  EXPECT_EQ(parsed->num_sites, 7);
-  EXPECT_EQ(parsed->class_b_mode, ClassBMode::RemoteCalls);
-  EXPECT_EQ(parsed->deadlock_victim, DeadlockVictim::Youngest);
-  EXPECT_DOUBLE_EQ(parsed->async_batch_window, 0.25);
-  EXPECT_EQ(parsed->seed, 777u);
+  const auto parsed = parse_config_file(in, SystemConfig{}, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  for (const ConfigKey& key : kConfigKeys) {
+    std::visit(
+        [&](auto field) {
+          EXPECT_EQ(config_member(*parsed, field), config_member(cfg, field))
+              << key.name;
+          EXPECT_FALSE(config_member(defaults, field) ==
+                       config_member(cfg, field))
+              << key.name << " was left at its default";
+        },
+        key.field);
+  }
+  ASSERT_EQ(parsed->faults.windows.size(), cfg.faults.windows.size());
+  for (std::size_t i = 0; i < cfg.faults.windows.size(); ++i) {
+    const FaultWindow& a = parsed->faults.windows[i];
+    const FaultWindow& b = cfg.faults.windows[i];
+    EXPECT_EQ(a.kind, b.kind) << i;
+    EXPECT_EQ(a.site, b.site) << i;
+    EXPECT_EQ(a.start, b.start) << i;
+    EXPECT_EQ(a.duration, b.duration) << i;
+    EXPECT_EQ(a.delay_factor, b.delay_factor) << i;
+    EXPECT_EQ(a.loss_prob, b.loss_prob) << i;
+    EXPECT_EQ(a.dup_prob, b.dup_prob) << i;
+    EXPECT_EQ(a.reorder_prob, b.reorder_prob) << i;
+    EXPECT_EQ(a.spike_prob, b.spike_prob) << i;
+    EXPECT_EQ(a.spike_factor, b.spike_factor) << i;
+  }
 }
 
 TEST(ConfigIo, EveryDescribedKeyIsAccepted) {
@@ -182,32 +238,6 @@ TEST(ConfigIo, FaultAndShipKeysRejectBadValues) {
   EXPECT_FALSE(apply_config_override(cfg, "ship_backoff=0.5", &error));
   EXPECT_NE(error.find("at least 1"), std::string::npos);
   EXPECT_FALSE(apply_config_override(cfg, "ship_max_retries=-2", &error));
-}
-
-TEST(ConfigIo, FaultConfigRoundTripsThroughDescribe) {
-  SystemConfig cfg;
-  cfg.ship_timeout = 1.5;
-  cfg.ship_backoff = 3.0;
-  cfg.ship_max_retries = 4;
-  cfg.faults.windows.push_back({FaultKind::SiteOutage, 2, 10.0, 1.0, 1.0, 0.0});
-  cfg.faults.windows.push_back({FaultKind::LinkDegrade, -1, 0.0, 50.0, 2.0, 0.1});
-  cfg.faults.random_link_outage_rate = 0.01;
-  cfg.faults.random_link_outage_mean = 2.0;
-  cfg.faults.random_horizon = 400.0;
-  std::ostringstream out;
-  describe_config(out, cfg);
-  std::istringstream in(out.str());
-  const auto parsed = parse_config_file(in, SystemConfig{});
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_DOUBLE_EQ(parsed->ship_timeout, 1.5);
-  EXPECT_DOUBLE_EQ(parsed->ship_backoff, 3.0);
-  EXPECT_EQ(parsed->ship_max_retries, 4);
-  ASSERT_EQ(parsed->faults.windows.size(), 2u);
-  EXPECT_EQ(parsed->faults.windows[0].kind, FaultKind::SiteOutage);
-  EXPECT_EQ(parsed->faults.windows[0].site, 2);
-  EXPECT_DOUBLE_EQ(parsed->faults.windows[1].loss_prob, 0.1);
-  EXPECT_DOUBLE_EQ(parsed->faults.random_link_outage_rate, 0.01);
-  EXPECT_DOUBLE_EQ(parsed->faults.random_horizon, 400.0);
 }
 
 TEST(ConfigIo, SpanSinkAndReportTopKRoundTrip) {
@@ -287,42 +317,6 @@ TEST(ConfigIo, FaultSiteRangeIsValidatedAfterWholeFile) {
 
   std::istringstream ok("fault=site_outage:5:1:2\nnum_sites=8\n");
   EXPECT_TRUE(parse_config_file(ok, SystemConfig{}).has_value());
-}
-
-TEST(ConfigIo, MessageChaosAndJitterKeysRoundTrip) {
-  SystemConfig cfg;
-  cfg.faults.dup_prob = 0.25;
-  cfg.faults.dup_extra = 0.04;
-  cfg.faults.reorder_prob = 0.3;
-  cfg.faults.reorder_window = 0.45;
-  cfg.faults.spike_prob = 0.1;
-  cfg.faults.spike_factor = 3.5;
-  cfg.ship_jitter = 0.2;
-  cfg.chaos_strategy = "failsafe@2.5:queue-length";
-  cfg.chaos_run_seconds = 12.5;
-  cfg.faults.windows.push_back(
-      {FaultKind::MsgFault, 2, 1.0, 2.0, 1.0, 0.0, 0.5, 0.4, 0.3, 6.0});
-
-  std::ostringstream out;
-  describe_config(out, cfg);
-  std::istringstream in(out.str());
-  const auto parsed = parse_config_file(in, SystemConfig{});
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_DOUBLE_EQ(parsed->faults.dup_prob, 0.25);
-  EXPECT_DOUBLE_EQ(parsed->faults.dup_extra, 0.04);
-  EXPECT_DOUBLE_EQ(parsed->faults.reorder_prob, 0.3);
-  EXPECT_DOUBLE_EQ(parsed->faults.reorder_window, 0.45);
-  EXPECT_DOUBLE_EQ(parsed->faults.spike_prob, 0.1);
-  EXPECT_DOUBLE_EQ(parsed->faults.spike_factor, 3.5);
-  EXPECT_DOUBLE_EQ(parsed->ship_jitter, 0.2);
-  EXPECT_EQ(parsed->chaos_strategy, "failsafe@2.5:queue-length");
-  EXPECT_DOUBLE_EQ(parsed->chaos_run_seconds, 12.5);
-  ASSERT_EQ(parsed->faults.windows.size(), 1u);
-  EXPECT_EQ(parsed->faults.windows[0].kind, FaultKind::MsgFault);
-  EXPECT_DOUBLE_EQ(parsed->faults.windows[0].dup_prob, 0.5);
-  EXPECT_DOUBLE_EQ(parsed->faults.windows[0].reorder_prob, 0.4);
-  EXPECT_DOUBLE_EQ(parsed->faults.windows[0].spike_prob, 0.3);
-  EXPECT_DOUBLE_EQ(parsed->faults.windows[0].spike_factor, 6.0);
 }
 
 TEST(ConfigIo, MessageChaosKeysRejectBadValues) {
