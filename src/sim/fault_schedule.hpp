@@ -80,11 +80,9 @@ struct FaultScheduleConfig {
            dup_prob <= 0.0 && reorder_prob <= 0.0 && spike_prob <= 0.0;
   }
 
-  /// User-facing validation of the windows and of the random-outage mean:
-  /// returns false and fills `error` for out-of-range sites, negative times,
-  /// unusable degrade parameters, or random outages without a positive mean.
-  /// The scalar fields' own ranges are rows of kConfigKeys
-  /// (hybrid/config.hpp), checked by SystemConfig::check.
+  /// User-facing validation (config files): returns false and fills `error`
+  /// for out-of-range sites, negative times, unusable degrade parameters, or
+  /// random outages without a positive mean. Scalar ranges: kConfigKeys.
   [[nodiscard]] bool validate(int num_sites, std::string* error = nullptr) const;
 };
 
