@@ -2,9 +2,9 @@
 // output round trip. Each drift test builds a scratch tree in a temp dir
 // that lints clean, then re-injects the exact drift the rule exists to
 // catch — deleting a check_invariants recount, duplicating a fork label —
-// and asserts the lint produces exactly the expected finding, nothing more. The baseline test closes the loop for
-// the new rule ids: model-rule findings must grandfather and resurface like
-// any text-rule finding.
+// and asserts the lint produces exactly the expected finding, nothing more.
+// The baseline test closes the loop for the model rule ids: their findings
+// must grandfather and resurface like any text-rule finding.
 #include <gtest/gtest.h>
 
 #include <filesystem>
