@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "util/random.hpp"
 
@@ -106,6 +107,21 @@ struct McCase {
   Residual b;
   double offset;
 };
+
+// gtest and ctest name each case by this text ("triangular 3 vs triangular 2
+// offset 0.5"). gtest's default byte dump would print the padding after each
+// `shape`, which holds whatever the stack held and changes from run to run.
+void PrintTo(const Residual& r, std::ostream* os) {
+  *os << (r.shape == ResidualShape::Uniform ? "uniform " : "triangular ")
+      << r.length;
+}
+
+void PrintTo(const McCase& c, std::ostream* os) {
+  PrintTo(c.a, os);
+  *os << " vs ";
+  PrintTo(c.b, os);
+  *os << " offset " << c.offset;
+}
 
 class ProbFirstExceedsMc : public ::testing::TestWithParam<McCase> {};
 
