@@ -124,6 +124,27 @@ TEST(ConfigIo, FileErrorsCarryLineNumbers) {
   EXPECT_NE(error.find("line 2"), std::string::npos);
 }
 
+TEST(ConfigIo, DescribeRoundTrips) {
+  SystemConfig cfg;
+  cfg.comm_delay = 0.5;
+  cfg.num_sites = 7;
+  cfg.class_b_mode = ClassBMode::RemoteCalls;
+  cfg.deadlock_victim = DeadlockVictim::Youngest;
+  cfg.async_batch_window = 0.25;
+  cfg.seed = 777;
+  std::ostringstream out;
+  describe_config(out, cfg);
+  std::istringstream in(out.str());
+  const auto parsed = parse_config_file(in, SystemConfig{});
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_DOUBLE_EQ(parsed->comm_delay, 0.5);
+  EXPECT_EQ(parsed->num_sites, 7);
+  EXPECT_EQ(parsed->class_b_mode, ClassBMode::RemoteCalls);
+  EXPECT_EQ(parsed->deadlock_victim, DeadlockVictim::Youngest);
+  EXPECT_DOUBLE_EQ(parsed->async_batch_window, 0.25);
+  EXPECT_EQ(parsed->seed, 777u);
+}
+
 /// A value for `key` other than its default, in range, distinct per row
 /// (`row` is the row index) and, for doubles, needing all 17 digits.
 template <class T>
@@ -240,6 +261,32 @@ TEST(ConfigIo, FaultAndShipKeysRejectBadValues) {
   EXPECT_FALSE(apply_config_override(cfg, "ship_max_retries=-2", &error));
 }
 
+TEST(ConfigIo, FaultConfigRoundTripsThroughDescribe) {
+  SystemConfig cfg;
+  cfg.ship_timeout = 1.5;
+  cfg.ship_backoff = 3.0;
+  cfg.ship_max_retries = 4;
+  cfg.faults.windows.push_back({FaultKind::SiteOutage, 2, 10.0, 1.0, 1.0, 0.0});
+  cfg.faults.windows.push_back({FaultKind::LinkDegrade, -1, 0.0, 50.0, 2.0, 0.1});
+  cfg.faults.random_link_outage_rate = 0.01;
+  cfg.faults.random_link_outage_mean = 2.0;
+  cfg.faults.random_horizon = 400.0;
+  std::ostringstream out;
+  describe_config(out, cfg);
+  std::istringstream in(out.str());
+  const auto parsed = parse_config_file(in, SystemConfig{});
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_DOUBLE_EQ(parsed->ship_timeout, 1.5);
+  EXPECT_DOUBLE_EQ(parsed->ship_backoff, 3.0);
+  EXPECT_EQ(parsed->ship_max_retries, 4);
+  ASSERT_EQ(parsed->faults.windows.size(), 2u);
+  EXPECT_EQ(parsed->faults.windows[0].kind, FaultKind::SiteOutage);
+  EXPECT_EQ(parsed->faults.windows[0].site, 2);
+  EXPECT_DOUBLE_EQ(parsed->faults.windows[1].loss_prob, 0.1);
+  EXPECT_DOUBLE_EQ(parsed->faults.random_link_outage_rate, 0.01);
+  EXPECT_DOUBLE_EQ(parsed->faults.random_horizon, 400.0);
+}
+
 TEST(ConfigIo, SpanSinkAndReportTopKRoundTrip) {
   SystemConfig cfg;
   EXPECT_TRUE(apply_config_override(cfg, "obs_span_sink=perfetto:/tmp/t.json"));
@@ -317,6 +364,42 @@ TEST(ConfigIo, FaultSiteRangeIsValidatedAfterWholeFile) {
 
   std::istringstream ok("fault=site_outage:5:1:2\nnum_sites=8\n");
   EXPECT_TRUE(parse_config_file(ok, SystemConfig{}).has_value());
+}
+
+TEST(ConfigIo, MessageChaosAndJitterKeysRoundTrip) {
+  SystemConfig cfg;
+  cfg.faults.dup_prob = 0.25;
+  cfg.faults.dup_extra = 0.04;
+  cfg.faults.reorder_prob = 0.3;
+  cfg.faults.reorder_window = 0.45;
+  cfg.faults.spike_prob = 0.1;
+  cfg.faults.spike_factor = 3.5;
+  cfg.ship_jitter = 0.2;
+  cfg.chaos_strategy = "failsafe@2.5:queue-length";
+  cfg.chaos_run_seconds = 12.5;
+  cfg.faults.windows.push_back(
+      {FaultKind::MsgFault, 2, 1.0, 2.0, 1.0, 0.0, 0.5, 0.4, 0.3, 6.0});
+
+  std::ostringstream out;
+  describe_config(out, cfg);
+  std::istringstream in(out.str());
+  const auto parsed = parse_config_file(in, SystemConfig{});
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_DOUBLE_EQ(parsed->faults.dup_prob, 0.25);
+  EXPECT_DOUBLE_EQ(parsed->faults.dup_extra, 0.04);
+  EXPECT_DOUBLE_EQ(parsed->faults.reorder_prob, 0.3);
+  EXPECT_DOUBLE_EQ(parsed->faults.reorder_window, 0.45);
+  EXPECT_DOUBLE_EQ(parsed->faults.spike_prob, 0.1);
+  EXPECT_DOUBLE_EQ(parsed->faults.spike_factor, 3.5);
+  EXPECT_DOUBLE_EQ(parsed->ship_jitter, 0.2);
+  EXPECT_EQ(parsed->chaos_strategy, "failsafe@2.5:queue-length");
+  EXPECT_DOUBLE_EQ(parsed->chaos_run_seconds, 12.5);
+  ASSERT_EQ(parsed->faults.windows.size(), 1u);
+  EXPECT_EQ(parsed->faults.windows[0].kind, FaultKind::MsgFault);
+  EXPECT_DOUBLE_EQ(parsed->faults.windows[0].dup_prob, 0.5);
+  EXPECT_DOUBLE_EQ(parsed->faults.windows[0].reorder_prob, 0.4);
+  EXPECT_DOUBLE_EQ(parsed->faults.windows[0].spike_prob, 0.3);
+  EXPECT_DOUBLE_EQ(parsed->faults.windows[0].spike_factor, 6.0);
 }
 
 TEST(ConfigIo, MessageChaosKeysRejectBadValues) {
