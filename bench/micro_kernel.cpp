@@ -13,6 +13,7 @@
 
 #include "core/api.hpp"
 #include "db/lock_manager.hpp"
+#include "model/residuals.hpp"
 #include "sim/event_queue.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
@@ -114,6 +115,8 @@ BENCHMARK(BM_DeadlockDetectionChain)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_DynamicEstimatorDecision(benchmark::State& state) {
   // The per-arrival cost of the paper's best strategy: one estimate() call.
+  // Its utilization memo is warm after the first iteration, as it is after
+  // the first arrivals of a run.
   SystemConfig cfg;
   const ModelParams params = ModelParams::from_config(cfg);
   DynamicEstimator est(params, UtilSource::NumInSystem);
@@ -142,6 +145,34 @@ void BM_AnalyticModelSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnalyticModelSolve);
+
+void BM_StaticOptimizerOptimize(benchmark::State& state) {
+  // The per-point setup of a figure 4.1 sweep: the static optimum at the
+  // section 4.1 defaults (10 sites, 0.2 s delay) and 24 tps.
+  SystemConfig cfg;
+  cfg.arrival_rate_per_site = 2.4;
+  const ModelParams params = ModelParams::from_config(cfg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(StaticOptimizer().optimize(params));
+  }
+}
+BENCHMARK(BM_StaticOptimizerOptimize)->Unit(benchmark::kMicrosecond);
+
+void BM_ProbFirstExceeds(benchmark::State& state) {
+  // The residual-time integral, for every shape pair (A, B), with
+  // y* = a.length - offset inside B's support (arg 1 = 0: a panel straddles
+  // it) or beyond it (arg 1 = 1: the whole support is one polynomial).
+  const auto shape = [](long bit) {
+    return bit != 0 ? ResidualShape::Triangular : ResidualShape::Uniform;
+  };
+  const Residual a{shape(state.range(0) & 1), 1.3};
+  const Residual b{shape(state.range(0) & 2), 0.9};
+  const double offset = state.range(1) != 0 ? 0.2 : 0.7;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(prob_first_exceeds(a, b, offset));
+  }
+}
+BENCHMARK(BM_ProbFirstExceeds)->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
 
 void BM_EndToEndSimulation(benchmark::State& state) {
   // Whole-system throughput: simulated events per wall second at 24 tps.

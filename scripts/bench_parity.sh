@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Refactor parity gate: runs every figure and ablation bench (bench/fig_*
-# and bench/abl_*, 18 binaries) at HLS_TIME_SCALE=0.05 in two build trees
-# and compares their stdout byte for byte. A behaviour-preserving change
-# must reproduce every table and csv row exactly.
+# Refactor parity gate: runs every figure, ablation and table bench
+# (bench/fig_*, bench/abl_* and bench/tbl_*, 24 binaries) at
+# HLS_TIME_SCALE=0.05 in two build trees and compares their stdout byte for
+# byte. A behaviour-preserving change must reproduce every table and csv
+# row exactly. The tbl_* benches include tbl_model_validation and
+# tbl_capacity, the only ones that print the analytic model's predictions.
 #
 #   scripts/bench_parity.sh REF_BUILD [NEW_BUILD]
 #
@@ -24,11 +26,11 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 benches=()
-for path in "$NEW"/bench/fig_* "$NEW"/bench/abl_*; do
+for path in "$NEW"/bench/fig_* "$NEW"/bench/abl_* "$NEW"/bench/tbl_*; do
   [[ -f "$path" && -x "$path" ]] && benches+=("$(basename "$path")")
 done
 if [[ ${#benches[@]} -eq 0 ]]; then
-  echo "no fig_*/abl_* benches under $NEW/bench" >&2
+  echo "no fig_*/abl_*/tbl_* benches under $NEW/bench" >&2
   exit 2
 fi
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "model/residuals.hpp"
 #include "util/assert.hpp"
@@ -38,13 +39,11 @@ double DynamicEstimator::rho_from_queue(int queue, double extra) const {
   return std::min(kRhoCap, q / (q + 1.0));
 }
 
-double DynamicEstimator::rho_from_count(int count, double extra, double s,
-                                        double d_nc) {
+double DynamicEstimator::rho_from_count(double n, double s, double d_nc) {
   // Solve n = rho/(1-rho) + (rho/s) * d_nc for rho: the first term is the
   // M/M/1 population at the CPU, the second is Little's law over the
   // non-CPU residence (throughput rho/s times delay d_nc). Monotone in rho,
   // so bisection converges unconditionally.
-  const double n = std::max(0.0, static_cast<double>(count)) + extra;
   if (n <= 0.0) {
     return 0.0;
   }
@@ -62,14 +61,36 @@ double DynamicEstimator::rho_from_count(int count, double extra, double s,
   return (lo + hi) / 2.0;
 }
 
+double DynamicEstimator::rho_count(Tier tier, int count, int extra,
+                                   double speed) const {
+  const bool central = tier == Tier::Central;
+  const auto n = static_cast<std::size_t>(std::max(0, count) + extra);
+  const double s = central ? s_central_ : s_local_ * speed;
+  const double d_nc = central ? dnc_central_ : dnc_local_;
+  // Only the configured local speed reproduces the s of a memoized entry
+  // (s_local_ * 1.0 == s_local_ exactly).
+  if (speed != 1.0) {  // hlslint:allow(float-eq)  exact by design
+    return rho_from_count(static_cast<double>(n), s, d_nc);
+  }
+  std::vector<double>& cache = rho_cache_[central ? 1 : 0];
+  if (n >= cache.size()) {
+    cache.resize(n + 1, std::numeric_limits<double>::quiet_NaN());
+  }
+  double& rho = cache[n];
+  if (std::isnan(rho)) {
+    rho = rho_from_count(static_cast<double>(n), s, d_nc);
+  }
+  return rho;
+}
+
 std::pair<double, double> DynamicEstimator::utilizations(
     const SystemStateView& view) const {
   if (source_ == UtilSource::CpuQueue) {
     return {rho_from_queue(view.local_cpu_queue, 0.0),
             rho_from_queue(view.central_cpu_queue, 0.0)};
   }
-  return {rho_from_count(view.local_num_txns, 0.0, s_local_, dnc_local_),
-          rho_from_count(view.central_num_txns, 0.0, s_central_, dnc_central_)};
+  return {rho_count(Tier::Local, view.local_num_txns, 0, 1.0),
+          rho_count(Tier::Central, view.central_num_txns, 0, 1.0)};
 }
 
 double DynamicEstimator::local_speed_factor(const SystemStateView& view) {
@@ -181,11 +202,10 @@ RouteEstimate DynamicEstimator::estimate(const SystemStateView& view) const {
     rho_l_opt2 = rho_from_queue(view.local_cpu_queue, 0.0);
     rho_c_opt2 = rho_from_queue(view.central_cpu_queue, a_c);
   } else {
-    const double s_site = s_local_ * speed;
-    rho_l_opt1 = rho_from_count(view.local_num_txns, 1.0, s_site, dnc_local_);
-    rho_c_opt1 = rho_from_count(view.central_num_txns, 0.0, s_central_, dnc_central_);
-    rho_l_opt2 = rho_from_count(view.local_num_txns, 0.0, s_site, dnc_local_);
-    rho_c_opt2 = rho_from_count(view.central_num_txns, 1.0, s_central_, dnc_central_);
+    rho_l_opt1 = rho_count(Tier::Local, view.local_num_txns, 1, speed);
+    rho_c_opt1 = rho_count(Tier::Central, view.central_num_txns, 0, 1.0);
+    rho_l_opt2 = rho_count(Tier::Local, view.local_num_txns, 0, speed);
+    rho_c_opt2 = rho_count(Tier::Central, view.central_num_txns, 1, 1.0);
   }
 
   const Rts rts1 = response_times(rho_l_opt1, rho_c_opt1, speed, view);

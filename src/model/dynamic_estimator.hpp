@@ -19,6 +19,9 @@
 // time over all currently running transactions (§3.2.2).
 #pragma once
 
+#include <array>
+#include <vector>
+
 #include "model/params.hpp"
 #include "routing/strategy.hpp"
 
@@ -43,6 +46,10 @@ struct RouteEstimate {
   double rho_central = 0.0;
 };
 
+/// estimate() and utilizations() memoize the number-in-system inversion in
+/// the estimator, so one estimator must not be called from two threads at
+/// once. Each run builds its own strategy and with it its own estimator, so
+/// parallel sweep workers never share one.
 class DynamicEstimator {
  public:
   DynamicEstimator(ModelParams base, UtilSource source);
@@ -76,8 +83,15 @@ class DynamicEstimator {
   /// Inverts "transactions in system" to utilization by Little's law:
   /// n = rho/(1-rho) + rho * d_nc / s, where s is the CPU demand per
   /// transaction and d_nc its non-CPU residence (I/O, lock-free delays).
-  [[nodiscard]] static double rho_from_count(int count, double extra, double s,
-                                             double d_nc);
+  [[nodiscard]] static double rho_from_count(double n, double s, double d_nc);
+
+  enum class Tier { Local, Central };
+  /// rho_from_count for n = max(0, count) + extra transactions at `tier`,
+  /// with the local CPU demand scaled by `speed`. Memoized per (tier, n):
+  /// for a fixed estimator the result depends on nothing else unless the
+  /// local speed differs from 1, which bypasses the memo.
+  [[nodiscard]] double rho_count(Tier tier, int count, int extra,
+                                 double speed) const;
 
   ModelParams base_;
   UtilSource source_;
@@ -85,6 +99,8 @@ class DynamicEstimator {
   double dnc_local_;   ///< non-CPU residence of a local transaction
   double s_central_;   ///< CPU seconds per central transaction
   double dnc_central_; ///< non-CPU residence of a central transaction
+  /// rho_count results indexed [local, central][n]; NaN = not computed yet.
+  mutable std::array<std::vector<double>, 2> rho_cache_;
 };
 
 }  // namespace hls

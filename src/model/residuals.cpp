@@ -54,18 +54,34 @@ double prob_first_exceeds(const Residual& a, const Residual& b, double offset) {
     return residual_survival(a, offset);
   }
 
-  // P(A > B + offset) = integral over y of f_B(y) * S_A(y + offset) dy.
-  // The integrand is a piecewise polynomial of low degree; composite
-  // Simpson with a fine fixed grid is exact to rounding for our purposes.
-  constexpr int kSteps = 512;  // even
-  const double h = b.length / kSteps;
-  double sum = 0.0;
-  for (int i = 0; i <= kSteps; ++i) {
-    const double y = i * h;
-    const double w = (i == 0 || i == kSteps) ? 1.0 : (i % 2 == 1 ? 4.0 : 2.0);
-    sum += w * density(b, y) * residual_survival(a, y + offset);
+  // P(A > B + offset) = integral over y in [0, b.length] of
+  // g(y) = f_B(y) * S_A(y + offset), defined as its composite Simpson sum on
+  // 2 * kPanels equal steps. Below y* = a.length - offset, g is one
+  // polynomial of degree <= 3 (a constant or linear density times a linear or
+  // quadratic survival); from y* on it is 0. Simpson's rule is exact for
+  // cubics, so the sum equals the exact integral over the whole panels below
+  // y* (a 2-point Gauss-Legendre rule, also exact for cubics) plus Simpson's
+  // 3-point estimate on the one panel that straddles y*, taken at the sum's
+  // own nodes y = i * h.
+  const double y_star = a.length - offset;
+  if (y_star <= 0.0) {
+    return 0.0;  // A <= a.length <= offset <= B + offset
   }
-  const double p = sum * h / 3.0;
+  constexpr int kPanels = 256;
+  const double h = b.length / (2 * kPanels);
+  const int full = static_cast<int>(
+      std::min<double>(kPanels, std::floor(y_star / (2.0 * h))));
+  const auto g = [&](double y) {
+    return density(b, y) * residual_survival(a, y + offset);
+  };
+
+  const double half = full * h;  // half the width of [0, 2 * full * h]
+  const double gl = half / std::sqrt(3.0);
+  double p = half * (g(half - gl) + g(half + gl));
+  if (full < kPanels) {
+    const int i = 2 * full;
+    p += (g(i * h) + 4.0 * g((i + 1) * h) + g((i + 2) * h)) * h / 3.0;
+  }
   return std::clamp(p, 0.0, 1.0);
 }
 

@@ -28,9 +28,11 @@ struct Residual {
 };
 
 /// P(A > B + offset) for independent residuals A, B and offset >= 0.
-/// Evaluated by adaptive Simpson integration over B (exact to ~1e-10 for
-/// these piecewise-polynomial shapes; unit tests cross-check closed forms
-/// and Monte-Carlo estimates).
+/// Defined as the 512-step composite Simpson sum of f_B(y) * S_A(y + offset)
+/// over B's support and evaluated in O(1): the exact integral over the
+/// panels below y* = a.length - offset, where the integrand is one cubic,
+/// plus Simpson's estimate on the panel that straddles y*. Unit tests
+/// cross-check the 512-step loop, closed forms and Monte-Carlo estimates.
 [[nodiscard]] double prob_first_exceeds(const Residual& a, const Residual& b,
                                         double offset);
 

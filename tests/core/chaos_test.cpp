@@ -173,10 +173,12 @@ TEST(Chaos, GeneratedEpisodeReproRoundTrips) {
 }
 
 TEST(Chaos, ParseReproRejectsMissingEnvelope) {
-  std::istringstream in("num_sites = 4\nseed = 1\n");
+  // A well-formed config without chaos_strategy: the parse must fail on the
+  // envelope, not on an earlier config error.
+  std::istringstream in("num_sites=4\nseed=1\n");
   std::string error;
   EXPECT_FALSE(parse_chaos_repro(in, &error).has_value());
-  EXPECT_FALSE(error.empty());
+  EXPECT_NE(error.find("chaos_strategy"), std::string::npos) << error;
 }
 
 TEST(Chaos, ParseReproRejectsMalformedConfig) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
 namespace hls {
 namespace {
 
@@ -156,6 +160,64 @@ TEST(EstimatorInversion, CountInversionRecoversUtilizationRoundTrip) {
     EXPECT_NEAR(u.first, rho, 0.05);
   }
 }
+
+
+// ---- the memoized number-in-system inversion ----
+
+bool same_bits(const RouteEstimate& x, const RouteEstimate& y) {
+  return std::memcmp(&x, &y, sizeof(RouteEstimate)) == 0;
+}
+
+bool same_bits(const std::pair<double, double>& x,
+               const std::pair<double, double>& y) {
+  return std::memcmp(&x.first, &y.first, sizeof(double)) == 0 &&
+         std::memcmp(&x.second, &y.second, sizeof(double)) == 0;
+}
+
+class EstimatorMemoTest : public ::testing::TestWithParam<UtilSource> {};
+
+TEST_P(EstimatorMemoTest, WarmEstimatorMatchesFreshOneBitForBit) {
+  SystemConfig homogeneous;
+  homogeneous.num_sites = 3;
+  SystemConfig mixed = homogeneous;
+  // Site 0 runs at the configured speed (factor exactly 1), the others not.
+  mixed.local_mips_per_site = {mixed.local_mips, 0.25, 4.0};
+  for (const SystemConfig* cfg : {&homogeneous, &mixed}) {
+    const ModelParams p = ModelParams::from_config(*cfg);
+    std::vector<SystemStateView> views;
+    for (int site = 0; site < cfg->num_sites; ++site) {
+      for (const int nl : {-3, -1, 0, 1, 2, 5, 17, 40}) {
+        for (const int nc : {-2, 0, 1, 9, 33, 120}) {
+          SystemStateView v =
+              make_view(*cfg, nl, nc / 3, nl, nc, 3 * nl, 5 * nc);
+          v.site = site;
+          views.push_back(v);
+        }
+      }
+    }
+    // Warm one estimator over the grid in reverse, so later lookups hit
+    // entries filled by other sites and counts.
+    DynamicEstimator warm(p, GetParam());
+    for (auto it = views.rbegin(); it != views.rend(); ++it) {
+      (void)warm.estimate(*it);
+    }
+    for (const SystemStateView& v : views) {
+      const RouteEstimate hot = warm.estimate(v);
+      const RouteEstimate again = warm.estimate(v);
+      const RouteEstimate cold = DynamicEstimator(p, GetParam()).estimate(v);
+      EXPECT_TRUE(same_bits(hot, cold))
+          << "site " << v.site << " n_l " << v.local_num_txns << " n_c "
+          << v.central_num_txns;
+      EXPECT_TRUE(same_bits(hot, again)) << "site " << v.site;
+      EXPECT_TRUE(same_bits(warm.utilizations(v),
+                            DynamicEstimator(p, GetParam()).utilizations(v)));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sources, EstimatorMemoTest,
+                         ::testing::Values(UtilSource::CpuQueue,
+                                           UtilSource::NumInSystem));
 
 }  // namespace
 }  // namespace hls
